@@ -1,13 +1,15 @@
 //! Ablation: memory-pool scale-out (Figure 2 / Section III-A).
 //!
 //! Splits the corpus across 1..16 memory nodes, each with its own BOSS
-//! device, behind one shared 64 GB/s CXL-like link, and compares the
-//! interconnect traffic of BOSS's hardware top-k against a host-side
-//! design that ships every node's full scored candidate list to the CPU.
+//! device, behind one shared 64 GB/s CXL-like link (`Sharded` in
+//! scatter-gather timing), and compares the interconnect traffic of
+//! BOSS's hardware top-k against a host-side design that ships every
+//! node's full scored candidate list to the CPU.
 
 use boss_bench::{f, header, row, BenchArgs};
-use boss_core::pool::{InterconnectConfig, MemoryPool};
 use boss_core::BossConfig;
+use boss_engine::{Boss, SearchEngine, ShardTiming, Sharded};
+use boss_index::reference;
 use boss_index::shard::ShardedIndex;
 use boss_workload::corpus::CorpusSpec;
 use boss_workload::queries::{QuerySampler, QueryType};
@@ -28,6 +30,11 @@ fn main() {
                 .expr
         })
         .collect();
+    // Every matching document, ascending: what a host-side design ships.
+    let candidates: Vec<Vec<u32>> = queries
+        .iter()
+        .map(|q| reference::candidates(&index, q).expect("candidates"))
+        .collect();
 
     println!(
         "# Ablation: pool scale-out, k={} — interconnect bytes per query",
@@ -40,23 +47,34 @@ fn main() {
         "reduction_x",
         "mean_query_us",
     ]);
+    let config = BossConfig::with_cores(2);
     for nodes in [1u32, 2, 4, 8, 16] {
         let sharded = ShardedIndex::split(&index, nodes).expect("splits");
-        let mut pool = MemoryPool::new(
+        let leaves = sharded
+            .shards()
+            .iter()
+            .map(|s| vec![Boss::new(s, config.clone())])
+            .collect();
+        let mut pool = Sharded::new(
+            Boss::new(&index, config.clone()),
             &sharded,
-            BossConfig::with_cores(2),
-            InterconnectConfig::default(),
+            leaves,
+            ShardTiming::ScatterGather,
         );
+        let bases = sharded.bases();
         let mut link = 0u64;
         let mut host = 0u64;
         let mut cycles = 0u64;
-        for q in &queries {
-            let out = pool.search(q, args.k).expect("pool search runs");
-            link += out.interconnect_bytes;
-            host += pool
-                .hostside_interconnect_bytes(q)
-                .expect("hostside estimate");
-            cycles += out.cycles;
+        for (q, cands) in queries.iter().zip(&candidates) {
+            cycles += pool.search(q, args.k).expect("pool search runs").cycles;
+            host += cands.len() as u64 * 8;
+            // Each node ships at most k of the candidates in its docID range.
+            for (s, &base) in bases.iter().enumerate() {
+                let end = bases.get(s + 1).copied().unwrap_or(u32::MAX);
+                let local =
+                    cands.partition_point(|&d| d < end) - cands.partition_point(|&d| d < base);
+                link += local.min(args.k) as u64 * 8;
+            }
         }
         let n = queries.len() as f64;
         row(&[

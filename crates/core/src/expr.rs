@@ -82,9 +82,17 @@ fn lex(input: &str) -> Result<Vec<Token>, Error> {
     Ok(tokens)
 }
 
+/// Deepest parenthesis nesting [`parse_query`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let a hostile
+/// query string overflow the stack; no query the 16-term hardware can
+/// run needs anywhere near this many levels.
+const MAX_NESTING_DEPTH: usize = 128;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Parentheses currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -132,7 +140,14 @@ impl Parser {
         match self.next() {
             Some(Token::Term(t)) => Ok(QueryExpr::Term(t)),
             Some(Token::LParen) => {
+                if self.depth == MAX_NESTING_DEPTH {
+                    return Err(Error::InvalidQuery {
+                        reason: format!("parentheses nested deeper than {MAX_NESTING_DEPTH}"),
+                    });
+                }
+                self.depth += 1;
                 let inner = self.or_expr()?;
+                self.depth -= 1;
                 match self.next() {
                     Some(Token::RParen) => Ok(inner),
                     _ => Err(Error::InvalidQuery {
@@ -155,7 +170,8 @@ impl Parser {
 /// # Errors
 ///
 /// Returns [`Error::InvalidQuery`] for lexical or structural problems
-/// (bare unquoted words, unbalanced parentheses, empty input).
+/// (bare unquoted words, unbalanced parentheses, empty input, or
+/// parentheses nested more than 128 levels deep).
 ///
 /// # Example
 ///
@@ -175,7 +191,11 @@ pub fn parse_query(input: &str) -> Result<QueryExpr, Error> {
             reason: "empty query".into(),
         });
     }
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let expr = p.or_expr()?;
     if p.pos != p.tokens.len() {
         return Err(Error::InvalidQuery {
@@ -244,6 +264,20 @@ mod tests {
             "juxtaposition is not an operator"
         );
         assert!(parse_query("@!").is_err());
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let nested = |levels: usize| format!("{}\"a\"{}", "(".repeat(levels), ")".repeat(levels));
+        // Deep enough to overflow the stack without the limit.
+        let err = parse_query(&nested(200_000)).unwrap_err();
+        assert!(matches!(err, Error::InvalidQuery { .. }), "{err}");
+        assert!(parse_query(&nested(MAX_NESTING_DEPTH + 1)).is_err());
+        for levels in [1, 3, MAX_NESTING_DEPTH] {
+            assert_eq!(parse_query(&nested(levels)).unwrap(), QueryExpr::term("a"));
+        }
+        let q = parse_query(r#"(("a" AND ("b" OR "c")))"#).unwrap();
+        assert_eq!(q.terms(), vec!["a", "b", "c"]);
     }
 
     #[test]

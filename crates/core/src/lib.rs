@@ -48,10 +48,8 @@ mod intersect;
 mod mai;
 pub mod pipeline;
 mod plan;
-pub mod pool;
 pub mod power;
 mod prune;
-mod queueing;
 mod stats;
 mod topk;
 mod union;
@@ -60,12 +58,11 @@ pub use api::{BossHandle, SearchRequest};
 pub use boss_index::{QueryAlgorithm, ALL_ALGORITHMS};
 pub use config::{BossConfig, DegradePolicy, EtMode, TimingModel};
 pub use core::{BossCore, CoreScratch};
-pub use device::{BatchOutcome, BossDevice, SchedPolicy};
+pub use device::{BossDevice, SchedPolicy};
 pub use expr::parse_query;
 pub use fixed::{topk_overlap, FixedScorer, Q16};
 pub use mai::{Tlb, TlbStats};
 pub use pipeline::TimingFidelity;
 pub use plan::QueryPlan;
-pub use queueing::OpenLoopResult;
 pub use stats::{BlockCacheStats, EvalCounts, QueryOutcome};
 pub use topk::TopK;

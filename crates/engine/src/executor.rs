@@ -209,22 +209,27 @@ impl BatchExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Boss;
-    use boss_core::{BossConfig, BossDevice};
-    use boss_index::{IndexBuilder, InvertedIndex};
+    use crate::{Boss, Lucene};
+    use boss_core::BossConfig;
+    use boss_index::{reference, IndexBuilder, InvertedIndex};
+    use boss_luceneish::LuceneConfig;
 
     fn corpus() -> InvertedIndex {
         let docs: Vec<String> = (0u32..600)
             .map(|i| {
                 let mut t = String::from("all");
-                if i % 2 == 0 {
-                    t.push_str(" even");
-                }
-                if i % 3 == 0 {
-                    t.push_str(" three");
-                }
-                if i % 5 == 0 {
-                    t.push_str(" five");
+                for (m, word) in [
+                    (2, "even"),
+                    (3, "three"),
+                    (5, "five"),
+                    (7, "seven"),
+                    (11, "eleven"),
+                    (40, "rare"),
+                ] {
+                    if i % m == 0 {
+                        t.push(' ');
+                        t.push_str(word);
+                    }
                 }
                 t
             })
@@ -235,39 +240,198 @@ mod tests {
             .unwrap()
     }
 
+    /// A union of more distinct terms than one core's four streams.
+    fn wide() -> QueryExpr {
+        QueryExpr::or(
+            ["all", "even", "three", "five", "seven", "eleven"]
+                .iter()
+                .map(|t| QueryExpr::term(*t)),
+        )
+    }
+
     fn queries() -> Vec<QueryExpr> {
-        (0..9)
+        let mut qs: Vec<QueryExpr> = (0..9)
             .map(|i| match i % 3 {
                 0 => QueryExpr::term("even"),
                 1 => QueryExpr::and([QueryExpr::term("three"), QueryExpr::term("five")]),
                 _ => QueryExpr::or([QueryExpr::term("even"), QueryExpr::term("three")]),
             })
+            .collect();
+        qs.insert(4, wide());
+        qs
+    }
+
+    /// Long jobs around short ones: FIFO strands a long job at the tail.
+    fn skewed_tail() -> Vec<QueryExpr> {
+        ["all", "rare", "rare", "rare", "all"]
+            .iter()
+            .map(|t| QueryExpr::term(*t))
             .collect()
+    }
+
+    /// The native BOSS batch driver's schedule, re-implemented apart from
+    /// the executor's replay as a greedy list-scheduling oracle: per-query
+    /// outcomes come from a plain `search` loop (whose accumulators give
+    /// the batch stats), each query goes, in FIFO or SJF-by-`work_estimate`
+    /// order, to the earliest-free gang of lanes, and the bandwidth
+    /// roofline floors the makespan.
+    fn native_batch_driver<E: SearchEngine>(
+        engine: &E,
+        qs: &[QueryExpr],
+        k: usize,
+        policy: SchedPolicy,
+    ) -> EngineBatch {
+        let mut eng = engine.fork();
+        let outcomes: Vec<QueryOutcome> = qs.iter().map(|q| eng.search(q, k).unwrap()).collect();
+        let mut order: Vec<usize> = (0..qs.len()).collect();
+        if policy == SchedPolicy::Sjf {
+            order.sort_by_key(|&i| engine.work_estimate(&qs[i]));
+        }
+        let mut free_at = vec![0u64; engine.lanes().max(1)];
+        for i in order {
+            let width = engine.gang_width(&qs[i]).clamp(1, free_at.len());
+            let mut gang: Vec<usize> = Vec::new();
+            while gang.len() < width {
+                let lane = (0..free_at.len())
+                    .filter(|l| !gang.contains(l))
+                    .min_by_key(|&l| (free_at[l], l))
+                    .unwrap();
+                gang.push(lane);
+            }
+            let end = gang.iter().map(|&l| free_at[l]).max().unwrap() + outcomes[i].cycles;
+            for l in gang {
+                free_at[l] = end;
+            }
+        }
+        let mem = eng.mem_stats().clone();
+        let roofline = engine.bandwidth_limit_cycles(&mem);
+        EngineBatch {
+            outcomes,
+            makespan_cycles: free_at.into_iter().max().unwrap().max(roofline),
+            mem,
+            eval: *eng.eval_counts(),
+        }
+    }
+
+    /// Runs `qs` through the executor and the native driver, asserts they
+    /// agree (outcomes in submission order), and returns the executor's
+    /// batch.
+    fn check<E: SearchEngine + Send>(
+        engine: &E,
+        qs: &[QueryExpr],
+        policy: SchedPolicy,
+    ) -> EngineBatch {
+        let ctx = format!("{} {policy:?}", engine.label());
+        let want = native_batch_driver(engine, qs, 10, policy);
+        let got = BatchExecutor::with_threads(2)
+            .with_policy(policy)
+            .run(engine, qs, 10)
+            .unwrap();
+        assert_eq!(got.makespan_cycles, want.makespan_cycles, "{ctx}");
+        assert_eq!(got.mem, want.mem, "{ctx}");
+        assert_eq!(got.eval, want.eval, "{ctx}");
+        assert_eq!(got.outcomes, want.outcomes, "{ctx}");
+        got
+    }
+
+    fn boss(idx: &InvertedIndex, cores: u32) -> Boss<'_> {
+        Boss::new(idx, BossConfig::with_cores(cores))
     }
 
     #[test]
     fn matches_the_native_boss_batch_driver() {
-        // The executor must reproduce BossDevice::run_batch_with_policy
-        // bit for bit — same schedule, same roofline, same merges.
+        let idx = corpus();
+        let (qs, skewed) = (queries(), skewed_tail());
+        for policy in [SchedPolicy::Fifo, SchedPolicy::Sjf] {
+            for cores in [1, 2, 3, 8] {
+                check(&boss(&idx, cores), &qs, policy);
+                check(&boss(&idx, cores), &skewed, policy);
+            }
+        }
+        // The wide union gangs two of three lanes; one lane caps it.
+        assert_eq!(boss(&idx, 3).gang_width(&wide()), 2);
+        assert_eq!(boss(&idx, 1).gang_width(&wide()), 1);
+    }
+
+    #[test]
+    fn batch_parallelism_shrinks_makespan() {
         let idx = corpus();
         let qs = queries();
         for policy in [SchedPolicy::Fifo, SchedPolicy::Sjf] {
-            let mut dev = BossDevice::new(&idx, BossConfig::with_cores(3));
-            let native = dev.run_batch_with_policy(&qs, 10, policy).unwrap();
-            let eng = Boss::new(&idx, BossConfig::with_cores(3));
-            let ours = BatchExecutor::with_threads(1)
-                .with_policy(policy)
-                .run(&eng, &qs, 10)
-                .unwrap();
-            assert_eq!(ours.makespan_cycles, native.makespan_cycles, "{policy:?}");
-            assert_eq!(ours.mem, native.mem, "{policy:?}");
-            assert_eq!(ours.eval, native.eval, "{policy:?}");
-            assert_eq!(ours.outcomes.len(), native.outcomes.len());
-            for (a, b) in ours.outcomes.iter().zip(&native.outcomes) {
+            let one = check(&boss(&idx, 1), &qs, policy);
+            let eight = check(&boss(&idx, 8), &qs, policy);
+            assert!(eight.makespan_cycles < one.makespan_cycles, "{policy:?}");
+            assert!(eight.throughput_qps(1.0) > one.throughput_qps(1.0));
+            // Functional results are identical across lane counts.
+            for (a, b) in one.outcomes.iter().zip(&eight.outcomes) {
                 assert_eq!(a.hits, b.hits, "{policy:?}");
-                assert_eq!(a.cycles, b.cycles, "{policy:?}");
             }
         }
+    }
+
+    #[test]
+    fn batch_merges_stats() {
+        let idx = corpus();
+        let b = check(&boss(&idx, 2), &queries(), SchedPolicy::Fifo);
+        let mem: u64 = b.outcomes.iter().map(|o| o.mem.total_bytes()).sum();
+        let scored: u64 = b.outcomes.iter().map(|o| o.eval.docs_scored).sum();
+        assert_eq!(b.mem.total_bytes(), mem);
+        assert_eq!(b.eval.docs_scored, scored);
+        assert!(scored > 0);
+    }
+
+    #[test]
+    fn sjf_never_worse_than_fifo_for_skewed_tail() {
+        // A long job submitted last under FIFO pushes the makespan out on
+        // two lanes; SJF runs the short jobs around it.
+        let idx = corpus();
+        let fifo = check(&boss(&idx, 2), &skewed_tail(), SchedPolicy::Fifo);
+        let sjf = check(&boss(&idx, 2), &skewed_tail(), SchedPolicy::Sjf);
+        assert!(sjf.makespan_cycles <= fifo.makespan_cycles);
+        for (a, b) in fifo.outcomes.iter().zip(&sjf.outcomes) {
+            assert_eq!(a.hits, b.hits);
+        }
+    }
+
+    #[test]
+    fn outcomes_in_submission_order_under_sjf() {
+        // SJF runs "rare" first on one lane, yet the first outcome is
+        // still the one for "all".
+        let idx = corpus();
+        let qs = [QueryExpr::term("all"), QueryExpr::term("rare")];
+        let sjf = check(&boss(&idx, 1), &qs, SchedPolicy::Sjf);
+        assert!(sjf.outcomes[0].eval.docs_scored > sjf.outcomes[1].eval.docs_scored);
+    }
+
+    #[test]
+    fn lucene_threads_scale_batch_throughput() {
+        // Lucene's threads are lanes too.
+        let idx = corpus();
+        let same: Vec<QueryExpr> = (0..16).map(|_| QueryExpr::term("even")).collect();
+        let lucene = |threads| Lucene::new(&idx, LuceneConfig::with_threads(threads));
+        for policy in [SchedPolicy::Fifo, SchedPolicy::Sjf] {
+            let l1 = check(&lucene(1), &same, policy);
+            let l8 = check(&lucene(8), &same, policy);
+            assert!(l8.makespan_cycles < l1.makespan_cycles, "{policy:?}");
+            let (q1, q8) = (l1.throughput_qps(2.7), l8.throughput_qps(2.7));
+            assert!(q8 > 4.0 * q1, "{policy:?}: {q8} vs {q1}");
+        }
+    }
+
+    #[test]
+    fn zero_core_device_searches_and_runs_on_one_lane() {
+        let idx = corpus();
+        let mut zero = Boss::new(&idx, BossConfig::with_cores(0));
+        let q = QueryExpr::term("even");
+        let out = zero.device_mut().search_expr(&q, 10).unwrap();
+        assert_eq!(out.hits, reference::evaluate(&idx, &q, 10).unwrap());
+        let one = Boss::new(&idx, BossConfig::with_cores(1));
+        let exec = BatchExecutor::with_threads(1);
+        let a = exec.run(&zero, &queries(), 10).unwrap();
+        let b = exec.run(&one, &queries(), 10).unwrap();
+        assert!(a.makespan_cycles > 0);
+        assert_eq!(a.makespan_cycles, b.makespan_cycles);
+        assert_eq!(a.outcomes, b.outcomes);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use serving::{
     simulate, DegradeLevel, Disposition, OverloadConfig, QueryRecord, ServePolicy, ServiceTable,
     ServingConfig, ServingRun, ALL_SERVE_POLICIES,
 };
-pub use sharded::{ShardReplicaStats, ShardTiming, Sharded};
+pub use sharded::{InterconnectConfig, ShardReplicaStats, ShardTiming, Sharded};
 
 // Engine-level result vocabulary: the per-query outcome and the two stat
 // accumulators are shared by all engines, so the simulator crates' types

@@ -24,12 +24,13 @@
 //!   is bit-identical to the canonical hits (shards carry global BM25
 //!   statistics — see [`boss_index::shard`]), and under a shard-targeted
 //!   fault plan the hits honestly reflect the degradation.
-//! * [`ShardTiming::ScatterGather`] — the honest multi-device model used
-//!   by the shard-scaling bench: cycles = slowest selected leaf + link
-//!   transfer of `hits × 8` bytes + root merge, mirroring
-//!   `boss_core::pool::MemoryPool`; traffic and counters are summed over
-//!   the selected leaves; the bandwidth roofline divides by the shard
-//!   count (each shard owns its own channels).
+//! * [`ShardTiming::ScatterGather`] — the honest multi-device model of
+//!   the paper's pooled memory (Figure 2), used by the shard-scaling
+//!   bench and the pool scale-out ablation: cycles = slowest selected
+//!   leaf + transfer of `hits × 8` bytes over the shared
+//!   [`InterconnectConfig`] link + root merge; traffic and counters are
+//!   summed over the selected leaves; the bandwidth roofline divides by
+//!   the shard count (each shard owns its own channels).
 //!
 //! # Health-aware routing
 //!
@@ -48,10 +49,41 @@
 //! [`QueryOutcome`].
 
 use crate::{EvalCounts, MemStats, QueryOutcome, SearchEngine};
-use boss_core::pool::InterconnectConfig;
 use boss_index::shard::ShardedIndex;
 use boss_index::{Error, InvertedIndex, QueryExpr, SearchHit};
 use boss_scm::FaultCounts;
+
+/// The shared host interconnect (CXL-like) between the memory nodes
+/// and the root.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct InterconnectConfig {
+    /// Link bandwidth in GB/s (the paper cites 64 GB/s for one CXL link).
+    pub bandwidth_gbps: f64,
+    /// One-way message latency in nanoseconds.
+    pub latency_ns: u64,
+}
+
+impl Default for InterconnectConfig {
+    fn default() -> Self {
+        InterconnectConfig {
+            bandwidth_gbps: 64.0,
+            latency_ns: 400,
+        }
+    }
+}
+
+impl InterconnectConfig {
+    /// Cycles (at 1 GHz) to move `bytes` over the link, including latency.
+    pub fn transfer_cycles(&self, bytes: u64) -> u64 {
+        self.latency_ns + (bytes as f64 / self.bandwidth_gbps).ceil() as u64
+    }
+
+    /// Host-side cycles to k-way-merge `n_nodes` sorted top-`k` streams
+    /// at the root: one comparison per emitted entry, four-wide.
+    pub fn root_merge_cycles(&self, n_nodes: usize, k: usize) -> u64 {
+        (n_nodes as u64) * (k as u64).max(1) / 4
+    }
+}
 
 /// How [`Sharded`] charges time for a scatter-gather query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -730,6 +762,16 @@ mod tests {
             "shard 1 should show fault symptoms"
         );
         assert!(stats[1].blocks_skipped_fault > 0);
+    }
+
+    #[test]
+    fn link_transfer_math() {
+        let link = InterconnectConfig {
+            bandwidth_gbps: 64.0,
+            latency_ns: 400,
+        };
+        assert_eq!(link.transfer_cycles(6400), 400 + 100);
+        assert_eq!(link.root_merge_cycles(4, 10), 10);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   model is the paper's black-box baseline, not a JVM simulator.
 //!
 //! Query-level parallelism across threads matches Lucene's serving model:
-//! one query per thread, batch makespan = greedy list scheduling.
+//! one query per thread. `boss_engine::BatchExecutor` list-schedules a
+//! batch over `n_threads` lanes, as it does the accelerators' cores.
 
 mod engine;
 

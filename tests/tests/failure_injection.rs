@@ -4,6 +4,7 @@
 use boss_compress::{codec_for, BlockInfo, Scheme, ALL_SCHEMES};
 use boss_core::{parse_query, BossConfig, BossHandle, SearchRequest};
 use boss_decomp::DecompEngine;
+use boss_engine::{BatchExecutor, Boss};
 use boss_index::{IndexBuilder, PostingList, QueryExpr};
 
 #[test]
@@ -120,7 +121,8 @@ fn mixed_queries_with_unknown_branch_fail_atomically() {
     let mut dev = boss_core::BossDevice::new(&index, BossConfig::default());
     let q = QueryExpr::and([QueryExpr::term("alpha"), QueryExpr::term("missing")]);
     assert!(dev.search_expr(&q, 5).is_err());
-    // The batch API fails before executing anything.
-    let batch = dev.run_batch(&[QueryExpr::term("alpha"), q], 5);
+    // The batch executor fails the whole batch, with no partial results.
+    let boss = Boss::new(&index, BossConfig::default());
+    let batch = BatchExecutor::with_threads(1).run(&boss, &[QueryExpr::term("alpha"), q], 5);
     assert!(batch.is_err());
 }
