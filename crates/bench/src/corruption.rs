@@ -250,13 +250,13 @@ pub fn codec_trial(scheme: Scheme, seed: u64, tally: &mut Tally) {
 
 /// One netlist-data trial: the Fig. 8 engine over a mutated block must
 /// return `Ok` with exactly `info.count` values or a typed error — never
-/// panic, never over-reserve. When `oracle` is given (the same
-/// configuration on the other execution path), both paths must agree on
-/// the *entire* outcome: values and cycles when they accept, the
-/// identical typed error when they reject.
+/// panic, never over-reserve. `oracle` (the same configuration on the
+/// other execution path) is held to the same contract, and both paths
+/// must agree on the *entire* outcome: values and cycles when they
+/// accept, the identical typed error when they reject.
 pub fn netlist_data_trial(
     engine: &DecompEngine,
-    oracle: Option<&DecompEngine>,
+    oracle: &DecompEngine,
     scheme: Scheme,
     seed: u64,
     tally: &mut Tally,
@@ -268,44 +268,42 @@ pub fn netlist_data_trial(
     let mutation = ALL_MUTATIONS[rng.below(ALL_MUTATIONS.len())];
     apply_mutation(mutation, &mut rng, &mut data, &mut info);
 
-    let outcome = catch_unwind(AssertUnwindSafe(|| engine.decode(&data, &info)));
-    match outcome {
-        Err(_) => tally.violations.push(format!(
-            "{scheme} netlist: PANIC on {mutation:?} seed {seed}"
-        )),
-        Ok(res) => {
-            tally.record(res.is_ok());
-            if let Ok(decoded) = &res {
-                if decoded.values.len() != info.count as usize {
-                    tally.violations.push(format!(
-                        "{scheme} netlist: accepted but produced {} of {} values on {mutation:?} seed {seed}",
-                        decoded.values.len(),
-                        info.count
-                    ));
-                }
-                if decoded.values.capacity() > RESERVE_BOUND {
-                    tally.violations.push(format!(
-                        "{scheme} netlist: reserved {} (> {RESERVE_BOUND}) on {mutation:?} seed {seed}",
-                        decoded.values.capacity()
-                    ));
-                }
+    // Decodes through `e`, recording a violation for a panic, a short or
+    // long accepted output, or an over-reserve.
+    let mut checked = |e: &DecompEngine, label: &str| {
+        let outcome = catch_unwind(AssertUnwindSafe(|| e.decode(&data, &info)));
+        let Ok(res) = outcome else {
+            tally.violations.push(format!(
+                "{scheme} {label}: PANIC on {mutation:?} seed {seed}"
+            ));
+            return None;
+        };
+        if let Ok(decoded) = &res {
+            if decoded.values.len() != info.count as usize {
+                tally.violations.push(format!(
+                    "{scheme} {label}: accepted but produced {} of {} values on {mutation:?} seed {seed}",
+                    decoded.values.len(),
+                    info.count
+                ));
             }
-            if let Some(oracle) = oracle {
-                let oracle_outcome = catch_unwind(AssertUnwindSafe(|| oracle.decode(&data, &info)));
-                match oracle_outcome {
-                    Err(_) => tally.violations.push(format!(
-                        "{scheme} netlist oracle: PANIC on {mutation:?} seed {seed}"
-                    )),
-                    Ok(oracle_res) => {
-                        if res != oracle_res {
-                            tally.violations.push(format!(
-                                "{scheme} netlist: compiled/interpreted outcome disagreement on {mutation:?} seed {seed}"
-                            ));
-                        }
-                    }
-                }
+            if decoded.values.capacity() > RESERVE_BOUND {
+                tally.violations.push(format!(
+                    "{scheme} {label}: reserved {} (> {RESERVE_BOUND}) on {mutation:?} seed {seed}",
+                    decoded.values.capacity()
+                ));
             }
         }
+        Some(res)
+    };
+    let Some(res) = checked(engine, "netlist") else {
+        return;
+    };
+    let oracle_res = checked(oracle, "netlist oracle");
+    tally.record(res.is_ok());
+    if oracle_res.is_some_and(|o| o != res) {
+        tally.violations.push(format!(
+            "{scheme} netlist: compiled/interpreted outcome disagreement on {mutation:?} seed {seed}"
+        ));
     }
 }
 
@@ -703,26 +701,15 @@ pub fn lists_per_scheme() -> Vec<(Scheme, EncodedList)> {
 /// Runs `trials_per_scheme` seeded mutations of every category against
 /// every stock scheme plus the netlist engine, starting at `base_seed`.
 /// This is the whole harness; the binary just picks the counts and
-/// prints the tally. Equivalent to [`run_with`] on the compiled path.
+/// prints the tally. Netlist-data trials run the compiled plan and
+/// cross-check every outcome against the interpreter oracle, which must
+/// meet the same typed-error contract.
 ///
 /// # Panics
 ///
 /// Panics only if harness *setup* fails (corpus build, stock netlist
 /// parse) — trial panics are caught and reported as violations.
 pub fn run(base_seed: u64, trials_per_scheme: u64) -> Tally {
-    run_with(base_seed, trials_per_scheme, false)
-}
-
-/// [`run`] with the netlist execution path selectable: the primary
-/// engine runs the compiled plan (default) or, with `interpret_netlist`,
-/// the interpreter; either way every netlist-data trial cross-checks the
-/// other path as an oracle and any outcome divergence is a violation.
-///
-/// # Panics
-///
-/// Panics only if harness *setup* fails (corpus build, stock netlist
-/// parse) — trial panics are caught and reported as violations.
-pub fn run_with(base_seed: u64, trials_per_scheme: u64, interpret_netlist: bool) -> Tally {
     let mut tally = Tally::default();
     // Codec + netlist-data trials split the budget; config and metadata
     // trials add a quarter each so every surface sees real volume.
@@ -730,13 +717,11 @@ pub fn run_with(base_seed: u64, trials_per_scheme: u64, interpret_netlist: bool)
     let side_trials = trials_per_scheme / 4;
     let lists = lists_per_scheme();
     for &scheme in &ALL_SCHEMES {
-        let engine = DecompEngine::for_scheme(scheme)
-            .expect("stock netlist parses")
-            .with_interpreter(interpret_netlist);
-        let oracle = engine.clone().with_interpreter(!interpret_netlist);
+        let engine = DecompEngine::for_scheme(scheme).expect("stock netlist parses");
+        let oracle = engine.clone().with_interpreter(true);
         for t in 0..data_trials {
             codec_trial(scheme, base_seed + t, &mut tally);
-            netlist_data_trial(&engine, Some(&oracle), scheme, base_seed + t, &mut tally);
+            netlist_data_trial(&engine, &oracle, scheme, base_seed + t, &mut tally);
         }
         for t in 0..side_trials {
             netlist_config_trial(scheme, base_seed + t, &mut tally);

@@ -24,7 +24,7 @@ use boss_engine::{
 };
 use boss_iiu::IiuConfig;
 use boss_index::shard::ShardedIndex;
-use boss_index::{DecodeBackend, InvertedIndex, QueryExpr};
+use boss_index::{InvertedIndex, QueryExpr};
 use boss_luceneish::LuceneConfig;
 use boss_scm::{FaultPlan, MemStats, MemoryConfig};
 use boss_workload::arrivals::{self, ArrivalKind};
@@ -142,12 +142,6 @@ pub struct BenchArgs {
     /// hits stay bit-identical to the default exhaustive traversal at
     /// every thread and shard count; only the work/timing columns move.
     pub algorithm: QueryAlgorithm,
-    /// Host decode implementation (`--decode-netlist` routes block
-    /// decodes through the compiled Fig. 8 netlist engine,
-    /// `--interpret-netlist` through its interpreter oracle). All three
-    /// backends are bit-equal: figure data rows must stay byte-identical,
-    /// only wall-clock moves.
-    pub decode_backend: DecodeBackend,
     /// Open-loop serving scenario (`--serve` and the `--serve-*`
     /// knobs); `None` keeps the closed-batch figure path untouched.
     /// Serving counters are reported only in `#` comment lines, so the
@@ -178,7 +172,6 @@ impl Default for BenchArgs {
             replicas: 1,
             shard_fault: None,
             algorithm: QueryAlgorithm::Exhaustive,
-            decode_backend: DecodeBackend::Codec,
             serving: None,
             segments: None,
         }
@@ -246,8 +239,6 @@ impl BenchArgs {
                 "--algorithm" => {
                     args.algorithm = parsed_value(&take("--algorithm"), "--algorithm");
                 }
-                "--decode-netlist" => args.decode_backend = DecodeBackend::NetlistCompiled,
-                "--interpret-netlist" => args.decode_backend = DecodeBackend::NetlistInterpreted,
                 "--serve" => {
                     args.serving.get_or_insert_with(ServingSpec::default);
                 }
@@ -294,7 +285,6 @@ impl BenchArgs {
                          [--no-bulk] [--fault-plan SEED] [--fault-rate F] [--degrade fail|skip] \
                          [--shards N] [--replicas N] [--shard-fault S] [--segments N] \
                          [--algorithm exhaustive|maxscore|wand|bmw|bmm] \
-                         [--decode-netlist] [--interpret-netlist] \
                          [--serve] [--serve-load F] [--serve-queue N] [--serve-deadline-x F] \
                          [--serve-policy fifo|sjf|edf|shed] [--serve-arrivals poisson|bursty] \
                          [--serve-degrade]"
@@ -307,9 +297,6 @@ impl BenchArgs {
                 }
             }
         }
-        // The backend is a process-wide switch; install it once at parse
-        // time so every decode in the run takes the selected path.
-        boss_index::set_decode_backend(args.decode_backend);
         args
     }
 
@@ -359,11 +346,6 @@ impl BenchArgs {
         }
         if self.algorithm != QueryAlgorithm::Exhaustive {
             println!("# algorithm {}", self.algorithm);
-        }
-        match self.decode_backend {
-            DecodeBackend::Codec => {}
-            DecodeBackend::NetlistCompiled => println!("# decode netlist-compiled"),
-            DecodeBackend::NetlistInterpreted => println!("# decode netlist-interpreted"),
         }
     }
 }

@@ -45,10 +45,6 @@ mod error;
 mod index;
 pub mod io;
 pub mod layout;
-// The netlist backend decodes the same untrusted bytes as the codec
-// path; the crate-wide panic-freedom gate is hardened to a deny here.
-#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-pub mod netlist;
 mod posting;
 // Pruned traversals take skip decisions on untrusted metadata, so —
 // like the shard layer — every failure must be a typed `Error`, never
@@ -80,7 +76,6 @@ pub use cache::{decode_block_cached, BlockCache, BlockCacheStats, DecodedBlock};
 pub use encoded::{BlockMeta, DecodeScratch, EncodedList, BLOCK_META_BYTES, BLOCK_SIZE};
 pub use error::Error;
 pub use index::{InvertedIndex, TermId, TermInfo};
-pub use netlist::{decode_backend, set_decode_backend, DecodeBackend};
 pub use posting::{Posting, PostingList};
 pub use query::{QueryExpr, SearchHit};
 pub use score::ScoreScratch;

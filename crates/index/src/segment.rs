@@ -30,7 +30,7 @@
 //! docIDs inside a segment are segment-local (0-based); `doc_base` maps
 //! them to global. Stored `idf`/`max_score` values are computed against
 //! the *segment's own* statistics, making each segment a valid
-//! standalone index ([`load_segment`]); the merge recomputes both from
+//! standalone index; the merge recomputes both from
 //! global statistics, so they are transport metadata, not final scores.
 //!
 //! # Hardening
@@ -41,8 +41,6 @@
 //! a corrupt segment can cost at most one pass over the real file — never
 //! an abort in the allocator. All failures are typed [`IoError`]s.
 
-use crate::builder::scoring_from_lens;
-use crate::index::{InvertedIndex, TermInfo};
 use crate::io::IoError;
 use crate::{BlockMeta, Bm25Params, EncodedList};
 use boss_compress::{BlockInfo, Scheme};
@@ -576,46 +574,12 @@ pub fn open_segment(
     SegmentReader::new(std::io::BufReader::new(file), len)
 }
 
-/// Loads one segment file as a standalone [`InvertedIndex`] over its own
-/// docID range (docIDs are segment-local; add the header's `doc_base`
-/// for global IDs). The checksum trailer is verified.
-///
-/// # Errors
-///
-/// As for [`SegmentReader`].
-pub fn load_segment(path: impl AsRef<Path>) -> Result<InvertedIndex, IoError> {
-    let mut reader = open_segment(path)?;
-    let mut vocab = std::collections::HashMap::new();
-    let mut terms = Vec::new();
-    let mut lists = Vec::new();
-    while let Some((text, list)) = reader.next_term()? {
-        let id = terms.len() as u32;
-        vocab.insert(text.clone(), id);
-        terms.push(TermInfo {
-            text,
-            df: list.df(),
-            idf: list.idf(),
-        });
-        lists.push(list);
-    }
-    let doc_lens = std::mem::take(&mut reader.doc_lens);
-    let (bm25, doc_norms) = scoring_from_lens(reader.header.params, &doc_lens);
-    Ok(InvertedIndex {
-        vocab,
-        terms,
-        lists,
-        doc_norms,
-        doc_lens,
-        bm25,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
     use super::*;
-    use crate::builder::encode_term_list;
+    use crate::builder::{encode_term_list, scoring_from_lens};
     use crate::{PostingList, SchemeChoice};
 
     /// A small hand-built segment: 3 terms, 6 docs, segment-local scores.
@@ -674,11 +638,16 @@ mod tests {
         let path = dir.join("s0.bosseg");
         let (buf, _) = sample_segment();
         std::fs::write(&path, &buf).unwrap();
-        let idx = load_segment(&path).unwrap();
-        assert_eq!(idx.n_docs(), 6);
-        assert_eq!(idx.n_terms(), 3);
-        let g = idx.term_id("gamma").unwrap();
-        let (docs, tfs) = idx.list(g).decode_all().unwrap();
+        let mut r = open_segment(&path).unwrap();
+        assert_eq!(r.header().n_docs, 6);
+        assert_eq!(r.header().n_terms, 3);
+        let mut gamma = None;
+        while let Some((term, list)) = r.next_term().unwrap() {
+            if term == "gamma" {
+                gamma = Some(list);
+            }
+        }
+        let (docs, tfs) = gamma.expect("gamma present").decode_all().unwrap();
         assert_eq!(docs, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(tfs, vec![1, 1, 2, 1, 1, 4]);
         std::fs::remove_dir_all(&dir).ok();

@@ -32,11 +32,10 @@
 use crate::index::TermInfo;
 use crate::{Bm25, DocId, EncodedList, Error, InvertedIndex, PostingList, SearchHit};
 use boss_compress::ALL_SCHEMES;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A corpus split into docID-interval shards.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShardedIndex {
     shards: Vec<InvertedIndex>,
     /// Global docID base of each shard (ascending); shard `i` covers

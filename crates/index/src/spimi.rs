@@ -646,6 +646,20 @@ mod tests {
     }
 
     #[test]
+    fn open_dir_rejects_truncated_manifest_and_missing_dir() {
+        // A budget no other test uses keeps this test's directory private.
+        let (set, _) = spimi_index(0, usize::MAX >> 2);
+        let path = set.dir().join(MANIFEST_NAME);
+        let body = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &body[..body.len() / 2]).unwrap();
+        let err = SegmentSet::open_dir(set.dir()).unwrap_err();
+        assert!(matches!(err, IoError::Corrupt(_)), "{err}");
+        std::fs::remove_dir_all(set.dir()).ok();
+        let err = SegmentSet::open_dir(set.dir()).unwrap_err();
+        assert!(matches!(err, IoError::Io(_)), "{err}");
+    }
+
+    #[test]
     fn empty_build_is_typed_error() {
         let dir = tmpdir("empty");
         let b = SpimiBuilder::create(&dir, SpimiConfig::default()).unwrap();

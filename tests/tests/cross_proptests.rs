@@ -3,7 +3,7 @@
 
 use boss_core::{BossConfig, BossDevice};
 use boss_index::shard::ShardedIndex;
-use boss_index::{IndexBuilder, InvertedIndex, PostingList, QueryExpr};
+use boss_index::{IndexBuilder, InvertedIndex, PostingList, QueryExpr, SpimiBuilder, SpimiConfig};
 use proptest::prelude::*;
 
 /// Random posting columns: strictly increasing docs, tf >= 1.
@@ -22,6 +22,28 @@ fn build(lists: &[(String, Vec<u32>, Vec<u32>)], n_docs: u32) -> InvertedIndex {
         b = b.add_posting_list(name, &pl);
     }
     b.build().expect("index builds")
+}
+
+/// Writes the corpus of [`build`] doc-major into a one-segment index
+/// directory and reopens it through `open_segments`.
+fn file_roundtrip(lists: &[(String, Vec<u32>, Vec<u32>)], n_docs: u32) -> InvertedIndex {
+    static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("boss-cross-{}-{case}", std::process::id()));
+    let mut by_doc: Vec<Vec<(&str, u32)>> = vec![Vec::new(); n_docs as usize];
+    for (name, docs, tfs) in lists {
+        for (&d, &tf) in docs.iter().zip(tfs) {
+            by_doc[d as usize].push((name, tf));
+        }
+    }
+    let mut b = SpimiBuilder::create(&dir, SpimiConfig::default()).expect("dir created");
+    for terms in by_doc {
+        b.add_document(terms, 60).expect("document added");
+    }
+    b.finish().expect("segment written");
+    let revived = boss_engine::open_segments(&dir).expect("segment reopens");
+    std::fs::remove_dir_all(&dir).ok();
+    revived
 }
 
 proptest! {
@@ -62,13 +84,10 @@ proptest! {
         (docs_b, tfs_b) in posting_columns(3_000),
         k in 1usize..30,
     ) {
-        let index = build(
-            &[("aa".into(), docs_a, tfs_a), ("bb".into(), docs_b, tfs_b)],
-            3_000,
-        );
-        let mut buf = Vec::new();
-        boss_index::io::write_index(&index, &mut buf).unwrap();
-        let revived = boss_index::io::read_index(buf.as_slice()).unwrap();
+        let lists = [("aa".into(), docs_a, tfs_a), ("bb".into(), docs_b, tfs_b)];
+        let index = build(&lists, 3_000);
+        let revived = file_roundtrip(&lists, 3_000);
+        prop_assert_eq!(&revived, &index);
         let q = QueryExpr::or([QueryExpr::term("aa"), QueryExpr::term("bb")]);
         let a = boss_index::reference::evaluate(&index, &q, k).unwrap();
         let b = boss_index::reference::evaluate(&revived, &q, k).unwrap();

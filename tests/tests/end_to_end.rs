@@ -112,8 +112,12 @@ fn dram_never_slower_than_scm() {
 #[test]
 fn index_serializes_and_answers_identically() {
     let index = corpus();
-    let json = serde_json::to_string(&index).expect("serializes");
-    let revived: boss_index::InvertedIndex = serde_json::from_str(&json).expect("deserializes");
+    let dir = std::env::temp_dir().join(format!("boss-e2e-segment-{}", std::process::id()));
+    CorpusSpec::ccnews_like(Scale::Smoke)
+        .build_segments(&dir, 1)
+        .expect("segment written");
+    let revived = boss_engine::open_segments(&dir).expect("segment reopens");
+    std::fs::remove_dir_all(&dir).ok();
     let mut sampler = QuerySampler::new(&index, 12).unwrap();
     let q = sampler
         .sample(boss_workload::queries::QueryType::Q3)
