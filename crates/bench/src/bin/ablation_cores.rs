@@ -1,7 +1,7 @@
 //! Ablation: core scaling beyond the paper's 8, exposing the SCM
 //! bandwidth ceiling — the "scale-out further" argument of Section III-A.
 
-use boss_bench::{boss_engine, f, header, iiu_engine, row, run_system, BenchArgs, BenchTarget};
+use boss_bench::{boss_engine, f, header, iiu_engine, row, run_lane_sweep, BenchArgs, BenchTarget};
 use boss_core::EtMode;
 use boss_scm::MemoryConfig;
 use boss_workload::corpus::CorpusSpec;
@@ -32,28 +32,36 @@ fn main() {
         "iiu_gbps",
         "boss_speedup_vs_iiu",
     ]);
-    for cores in [1u32, 2, 4, 8, 16, 32] {
-        let b = run_system(
-            &boss_engine(
+    // Outcomes do not depend on the core count: each engine executes the
+    // mix once and is scheduled at every count.
+    let cores = [1u32, 2, 4, 8, 16, 32];
+    let tuning = args.tuning();
+    let boss = run_lane_sweep(
+        &cores,
+        |c| {
+            boss_engine(
                 &target,
-                cores,
+                c,
                 EtMode::Full,
                 MemoryConfig::optane_dcpmm(),
                 args.k,
-                &args.tuning(),
-            ),
-            &queries,
-            args.k,
-            args.threads,
-        );
-        let i = run_system(
-            &iiu_engine(&target, cores, MemoryConfig::optane_dcpmm(), &args.tuning()),
-            &queries,
-            args.k,
-            args.threads,
-        );
+                &tuning,
+            )
+        },
+        &queries,
+        args.k,
+        args.threads,
+    );
+    let iiu = run_lane_sweep(
+        &cores,
+        |c| iiu_engine(&target, c, MemoryConfig::optane_dcpmm(), &tuning),
+        &queries,
+        args.k,
+        args.threads,
+    );
+    for ((c, b), i) in cores.iter().zip(&boss).zip(&iiu) {
         row(&[
-            cores.to_string(),
+            c.to_string(),
             f(b.qps),
             f(i.qps),
             f(b.bandwidth_gbps),

@@ -3,7 +3,7 @@
 //! Higher is better; the star in the paper marks the per-dataset best.
 
 use boss_bench::{f, header, row, BenchArgs};
-use boss_compress::{best_scheme, compression_ratio, ALL_SCHEMES};
+use boss_compress::{best_scheme, codec_for, compression_ratio, ALL_SCHEMES};
 use boss_index::BLOCK_SIZE;
 use boss_workload::corpus::{CorpusSpec, Scale};
 use boss_workload::streams::{generate, ALL_STREAMS};
@@ -28,19 +28,12 @@ fn main() {
         let values = generate(kind, stream_len(args.scale), args.seed);
         // Block the stream like a posting list (128-value blocks).
         let mut cells = vec![kind.label().to_owned()];
-        let mut sizes = Vec::new();
         for s in ALL_SCHEMES {
+            let codec = codec_for(s);
             let total: Option<usize> = values
                 .chunks(BLOCK_SIZE)
-                .map(|c| {
-                    let mut buf = Vec::new();
-                    boss_compress::codec_for(s)
-                        .encode(c, &mut buf)
-                        .ok()
-                        .map(|_| buf.len())
-                })
+                .map(|c| codec.encoded_len(c).ok())
                 .sum();
-            sizes.push(total);
             cells.push(match total {
                 Some(t) => f(compression_ratio(values.len(), t)),
                 None => "n/a".into(),
@@ -59,34 +52,11 @@ fn main() {
     ] {
         let index = spec.build().expect("corpus builds");
         let raw = index.total_raw_bytes() / 2; // docID column only, like the streams
-        let mut cells = vec![name.to_owned()];
-        for s in ALL_SCHEMES {
-            let mut total = 0u64;
-            let mut ok = true;
-            for id in index.term_ids() {
-                let (docs, _) = index.list(id).decode_all().expect("decodes");
-                let mut gaps = Vec::with_capacity(docs.len());
-                let mut prev = 0u32;
-                for (i, &d) in docs.iter().enumerate() {
-                    gaps.push(if i == 0 { d } else { d - prev });
-                    prev = d;
-                }
-                match boss_compress::encoded_size(s, &gaps) {
-                    Ok(sz) => total += sz as u64,
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            cells.push(if ok {
-                f(raw as f64 / total as f64)
-            } else {
-                "n/a".into()
-            });
-        }
-        // The index itself is hybrid-encoded (docIDs + tfs); report the
-        // docID-equivalent ratio from per-list best choices.
+
+        // Each list is decoded and sized once: its hybrid choice carries
+        // every scheme's size too. A scheme that cannot encode some list
+        // reads n/a.
+        let mut totals = [Some(0u64); 5];
         let mut hybrid_total = 0u64;
         for id in index.term_ids() {
             let (docs, _) = index.list(id).decode_all().expect("decodes");
@@ -96,7 +66,20 @@ fn main() {
                 gaps.push(if i == 0 { d } else { d - prev });
                 prev = d;
             }
-            hybrid_total += best_scheme(&gaps).bytes as u64;
+            let choice = best_scheme(&gaps);
+            for (total, size) in totals.iter_mut().zip(choice.all_bytes) {
+                *total = total.zip(size).map(|(t, sz)| t + sz as u64);
+            }
+            // The index itself is hybrid-encoded (docIDs + tfs); report
+            // the docID-equivalent ratio from per-list best choices.
+            hybrid_total += choice.bytes as u64;
+        }
+        let mut cells = vec![name.to_owned()];
+        for total in totals {
+            cells.push(match total {
+                Some(t) => f(raw as f64 / t as f64),
+                None => "n/a".into(),
+            });
         }
         cells.push(f(raw as f64 / hybrid_total as f64));
         cells.push("per-list".into());

@@ -8,11 +8,12 @@
 //! against another.
 
 use crate::{
-    boss_engine, f, geomean, header, iiu_engine, lucene_engine, row, run_system, BenchArgs,
-    BenchTarget, SystemRun, TypedSuite,
+    boss_engine, f, geomean, header, iiu_engine, lucene_engine, row, run_lane_sweep, run_system,
+    BenchArgs, BenchTarget, SystemRun, TypedSuite,
 };
 use boss_core::power::AreaPowerModel;
 use boss_core::{EtMode, QueryAlgorithm};
+use boss_index::QueryExpr;
 use boss_scm::{AccessCategory, MemoryConfig};
 use boss_workload::queries::QueryType;
 
@@ -66,13 +67,7 @@ pub fn multicore_throughput(
             ]);
         }
         if args.engines.iiu {
-            for &cores in &CORE_SWEEP {
-                let iiu = run_system(
-                    &iiu_engine(target, cores, MemoryConfig::optane_dcpmm(), &args.tuning()),
-                    queries,
-                    k,
-                    args.threads,
-                );
+            for (&cores, iiu) in CORE_SWEEP.iter().zip(iiu_sweep(target, queries, args)) {
                 row(&[
                     qt.label().into(),
                     "IIU".into(),
@@ -86,20 +81,7 @@ pub fn multicore_throughput(
             }
         }
         if args.engines.boss {
-            for &cores in &CORE_SWEEP {
-                let boss = run_system(
-                    &boss_engine(
-                        target,
-                        cores,
-                        EtMode::Full,
-                        MemoryConfig::optane_dcpmm(),
-                        k,
-                        &args.tuning(),
-                    ),
-                    queries,
-                    k,
-                    args.threads,
-                );
+            for (&cores, boss) in CORE_SWEEP.iter().zip(boss_sweep(target, queries, args)) {
                 row(&[
                     qt.label().into(),
                     "BOSS".into(),
@@ -129,7 +111,6 @@ pub fn bandwidth_utilization(
     suite: &TypedSuite,
     args: &BenchArgs,
 ) {
-    let k = args.k;
     println!("# Figure 11/12 ({name}): bandwidth utilization (GB/s)");
     println!("# paper shape: IIU consumes more bandwidth than BOSS at equal core counts");
     args.print_threads_comment();
@@ -141,41 +122,22 @@ pub fn bandwidth_utilization(
         "bytes_per_query_mb",
     ]);
     for (qt, queries) in &suite.per_type {
-        for &cores in &CORE_SWEEP {
-            let mut runs: Vec<(&str, SystemRun)> = Vec::new();
-            if args.engines.iiu {
-                runs.push((
-                    "IIU",
-                    run_system(
-                        &iiu_engine(target, cores, MemoryConfig::optane_dcpmm(), &args.tuning()),
-                        queries,
-                        k,
-                        args.threads,
-                    ),
-                ));
-            }
-            if args.engines.boss {
-                runs.push((
-                    "BOSS",
-                    run_system(
-                        &boss_engine(
-                            target,
-                            cores,
-                            EtMode::Full,
-                            MemoryConfig::optane_dcpmm(),
-                            k,
-                            &args.tuning(),
-                        ),
-                        queries,
-                        k,
-                        args.threads,
-                    ),
-                ));
-            }
-            for (label, run) in &runs {
+        let iiu = if args.engines.iiu {
+            iiu_sweep(target, queries, args)
+        } else {
+            Vec::new()
+        };
+        let boss = if args.engines.boss {
+            boss_sweep(target, queries, args)
+        } else {
+            Vec::new()
+        };
+        for (i, &cores) in CORE_SWEEP.iter().enumerate() {
+            for (label, run) in [("IIU", iiu.get(i)), ("BOSS", boss.get(i))] {
+                let Some(run) = run else { continue };
                 row(&[
                     qt.label().into(),
-                    (*label).into(),
+                    label.into(),
                     cores.to_string(),
                     f(run.bandwidth_gbps),
                     f(run.mem.total_bytes() as f64 / queries.len() as f64 / 1e6),
@@ -183,6 +145,41 @@ pub fn bandwidth_utilization(
             }
         }
     }
+}
+
+/// IIU on Optane at every core count of [`CORE_SWEEP`], the query set
+/// executed once ([`run_lane_sweep`]).
+fn iiu_sweep(target: &BenchTarget, queries: &[QueryExpr], args: &BenchArgs) -> Vec<SystemRun> {
+    let tuning = args.tuning();
+    run_lane_sweep(
+        &CORE_SWEEP,
+        |cores| iiu_engine(target, cores, MemoryConfig::optane_dcpmm(), &tuning),
+        queries,
+        args.k,
+        args.threads,
+    )
+}
+
+/// BOSS (full early termination) on Optane at every core count of
+/// [`CORE_SWEEP`], the query set executed once ([`run_lane_sweep`]).
+fn boss_sweep(target: &BenchTarget, queries: &[QueryExpr], args: &BenchArgs) -> Vec<SystemRun> {
+    let tuning = args.tuning();
+    run_lane_sweep(
+        &CORE_SWEEP,
+        |cores| {
+            boss_engine(
+                target,
+                cores,
+                EtMode::Full,
+                MemoryConfig::optane_dcpmm(),
+                args.k,
+                &tuning,
+            )
+        },
+        queries,
+        args.k,
+        args.threads,
+    )
 }
 
 /// Figure 13: single-core throughput of Lucene / IIU / BOSS-exhaustive /
@@ -375,25 +372,17 @@ pub fn dram_vs_scm(name: &str, target: &BenchTarget, suite: &TypedSuite, args: &
         ("BOSS".into(), vec![], vec![]),
     ];
     for (qt, queries) in &suite.per_type {
-        let base = run_system(
+        // The baseline is also the "Lucene SCM" row.
+        let lucene_scm = run_system(
             &lucene_engine(target, 8, MemoryConfig::host_scm_6ch(), &args.tuning()),
             queries,
             k,
             args.threads,
-        )
-        .qps;
+        );
+        let base = lucene_scm.qps;
         let mut runs: Vec<(&str, &str, SystemRun)> = Vec::new();
         if args.engines.lucene {
-            runs.push((
-                "Lucene",
-                "SCM",
-                run_system(
-                    &lucene_engine(target, 8, MemoryConfig::host_scm_6ch(), &args.tuning()),
-                    queries,
-                    k,
-                    args.threads,
-                ),
-            ));
+            runs.push(("Lucene", "SCM", lucene_scm));
             runs.push((
                 "Lucene",
                 "DRAM",

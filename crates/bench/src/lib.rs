@@ -10,7 +10,8 @@
 //! * [`run_system`] — the one generic batch driver: any
 //!   [`SearchEngine`] through the deterministic [`BatchExecutor`] into a
 //!   uniform [`SystemRun`] row (results are bit-identical at every
-//!   `--threads` value);
+//!   `--threads` value), and [`run_lane_sweep`], the same for several
+//!   lane counts of one engine from a single execution;
 //! * TSV emission helpers (rows go to stdout; commentary lines start
 //!   with `#`).
 
@@ -19,8 +20,8 @@ pub mod figures;
 
 use boss_core::{BossConfig, DegradePolicy, EtMode, EvalCounts, QueryAlgorithm, QueryOutcome};
 use boss_engine::{
-    BatchExecutor, Boss, Iiu, Lucene, OverloadConfig, SearchEngine, ServePolicy, ServingConfig,
-    ShardTiming, Sharded,
+    BatchExecutor, Boss, EngineBatch, Iiu, Lucene, OverloadConfig, SearchEngine, ServePolicy,
+    ServingConfig, ShardTiming, Sharded,
 };
 use boss_iiu::IiuConfig;
 use boss_index::shard::ShardedIndex;
@@ -427,7 +428,52 @@ pub fn run_system<E: SearchEngine + Send>(
 ) -> SystemRun {
     let batch = BatchExecutor::with_threads(threads)
         .run(engine, queries, k)
-        .expect("sampled queries plan and decode (use --degrade skip on a faulty device)");
+        .expect(QUERIES_RUN);
+    system_run(engine, batch)
+}
+
+/// Why [`run_system`] and [`run_lane_sweep`] expect every query to run.
+const QUERIES_RUN: &str = "sampled queries plan and decode (use --degrade skip on a faulty device)";
+
+/// One engine configuration at several lane counts (`make(lanes)` builds
+/// it): executes `queries` once, on the first lane count's engine, and
+/// schedules those outcomes on every lane count's engine. Per-query
+/// outcomes do not depend on the lane count, so each returned
+/// [`SystemRun`] — in `lanes` order — is bit-identical to
+/// `run_system(&make(l), queries, k, threads)`, for one execution of the
+/// query set instead of one per lane count.
+///
+/// # Panics
+///
+/// As [`run_system`].
+pub fn run_lane_sweep<E: SearchEngine + Send>(
+    lanes: &[u32],
+    make: impl Fn(u32) -> E,
+    queries: &[QueryExpr],
+    k: usize,
+    threads: usize,
+) -> Vec<SystemRun> {
+    let Some(&first) = lanes.first() else {
+        return Vec::new();
+    };
+    let executor = BatchExecutor::with_threads(threads);
+    let outcomes = executor
+        .execute(&make(first), queries, k)
+        .expect(QUERIES_RUN);
+    lanes
+        .iter()
+        .map(|&l| {
+            let engine = make(l);
+            system_run(
+                &engine,
+                executor.schedule(&engine, queries, outcomes.clone()),
+            )
+        })
+        .collect()
+}
+
+/// A scheduled batch as the figures' uniform row.
+fn system_run<E: SearchEngine>(engine: &E, batch: EngineBatch) -> SystemRun {
     let clock = engine.clock_ghz();
     SystemRun {
         system: engine.label(),
@@ -956,6 +1002,64 @@ mod tests {
                 assert_eq!(x.cycles, y.cycles, "{qt:?}");
             }
         }
+    }
+
+    #[test]
+    fn lane_sweep_equals_a_run_per_lane_count() {
+        let index = CorpusSpec::ccnews_like(Scale::Smoke).build().unwrap();
+        let sh = ShardedIndex::split(&index, 2).unwrap();
+        let suite = TypedSuite::sample(&index, 2, 3);
+        let queries: Vec<QueryExpr> = suite.per_type.into_iter().flat_map(|(_, q)| q).collect();
+        let tuning = EngineTuning::new(0, true);
+        let lanes = figures::CORE_SWEEP;
+        let same = |a: &SystemRun, b: &SystemRun| {
+            assert_eq!(a.system, b.system);
+            assert_eq!(a.seconds, b.seconds, "{}", a.system);
+            assert_eq!(a.qps, b.qps, "{}", a.system);
+            assert_eq!(a.bandwidth_gbps, b.bandwidth_gbps, "{}", a.system);
+            assert_eq!(a.mem, b.mem, "{}", a.system);
+            assert_eq!(a.eval, b.eval, "{}", a.system);
+            assert_eq!(a.outcomes, b.outcomes, "{}", a.system);
+        };
+        for target in [
+            BenchTarget::single(&index),
+            BenchTarget::new(&index, Some(&sh)),
+        ] {
+            let boss = |c| {
+                let memory = MemoryConfig::optane_dcpmm();
+                boss_engine(&target, c, EtMode::Full, memory, 30, &tuning)
+            };
+            let sweep = run_lane_sweep(&lanes, boss, &queries, 30, 2);
+            assert_eq!(sweep.len(), lanes.len());
+            for (&c, run) in lanes.iter().zip(&sweep) {
+                same(run, &run_system(&boss(c), &queries, 30, 1));
+            }
+            let iiu = |c| iiu_engine(&target, c, MemoryConfig::optane_dcpmm(), &tuning);
+            let sweep = run_lane_sweep(&lanes, iiu, &queries, 30, 2);
+            for (&c, run) in lanes.iter().zip(&sweep) {
+                same(run, &run_system(&iiu(c), &queries, 30, 1));
+            }
+            let lucene = |t| lucene_engine(&target, t, MemoryConfig::host_scm_6ch(), &tuning);
+            let sweep = run_lane_sweep(&lanes, lucene, &queries, 30, 2);
+            for (&t, run) in lanes.iter().zip(&sweep) {
+                same(run, &run_system(&lucene(t), &queries, 30, 1));
+            }
+        }
+        assert!(run_lane_sweep(
+            &[],
+            |c| boss_engine(
+                &BenchTarget::single(&index),
+                c,
+                EtMode::Full,
+                MemoryConfig::optane_dcpmm(),
+                30,
+                &tuning,
+            ),
+            &queries,
+            30,
+            2
+        )
+        .is_empty());
     }
 
     #[test]

@@ -113,6 +113,11 @@ pub(crate) fn bits_for(v: u32) -> u32 {
     32 - v.leading_zeros()
 }
 
+/// Width of the widest value in `values` (0 when empty or all zero).
+pub(crate) fn max_bits(values: &[u32]) -> u32 {
+    bits_for(values.iter().fold(0, |acc, &v| acc | v))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

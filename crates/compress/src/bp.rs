@@ -1,7 +1,7 @@
 //! Bit-Packing: all values of a block stored with the bit width of the
 //! largest value.
 
-use crate::bitio::{bits_for, BitWriter};
+use crate::bitio::{max_bits, BitWriter};
 use crate::{check_len, unpack, BlockInfo, Codec, Error, Scheme};
 
 /// The BP codec (Lemire & Boytsov style frame-of-reference packing, without
@@ -16,7 +16,7 @@ impl Codec for BitPacking {
 
     fn encode(&self, values: &[u32], out: &mut Vec<u8>) -> Result<BlockInfo, Error> {
         let count = check_len(values)?;
-        let width = values.iter().copied().map(bits_for).max().unwrap_or(0);
+        let width = max_bits(values);
         let mut w = BitWriter::new(out);
         for &v in values {
             w.write(v, width);
@@ -27,6 +27,11 @@ impl Codec for BitPacking {
             bit_width: width as u8,
             exception_offset: 0,
         })
+    }
+
+    fn encoded_len(&self, values: &[u32]) -> Result<usize, Error> {
+        check_len(values)?;
+        Ok((values.len() * max_bits(values) as usize).div_ceil(8))
     }
 
     fn decode(&self, data: &[u8], info: &BlockInfo, out: &mut Vec<u32>) -> Result<(), Error> {

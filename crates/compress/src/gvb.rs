@@ -47,6 +47,13 @@ impl Codec for GroupVarint {
         })
     }
 
+    fn encoded_len(&self, values: &[u32]) -> Result<usize, Error> {
+        check_len(values)?;
+        // One control byte per (possibly partial) group of four.
+        let payload: u32 = values.iter().map(|&v| byte_len(v)).sum();
+        Ok(values.len().div_ceil(4) + payload as usize)
+    }
+
     fn decode(&self, data: &[u8], info: &BlockInfo, out: &mut Vec<u32>) -> Result<(), Error> {
         let mut pos = 0usize;
         let mut remaining = check_count(info)?;

@@ -23,14 +23,10 @@ pub struct HybridChoice {
 /// Propagates codec errors (e.g. [`Error::ValueTooLarge`] for S16).
 pub fn encoded_size(scheme: Scheme, values: &[u32]) -> Result<usize, Error> {
     let codec = codec_for(scheme);
-    let mut total = 0usize;
-    let mut buf = Vec::new();
-    for chunk in values.chunks(MAX_BLOCK_VALUES.max(1)) {
-        buf.clear();
-        codec.encode(chunk, &mut buf)?;
-        total += buf.len();
-    }
-    Ok(total)
+    values
+        .chunks(MAX_BLOCK_VALUES)
+        .map(|chunk| codec.encoded_len(chunk))
+        .sum()
 }
 
 /// Picks the scheme with the smallest encoded size for `values`.
@@ -43,24 +39,32 @@ pub fn encoded_size(scheme: Scheme, values: &[u32]) -> Result<usize, Error> {
 /// Panics if *no* scheme can encode the stream, which cannot happen for
 /// `u32` inputs (BP, VB, OptPFD and S8b are total).
 pub fn best_scheme(values: &[u32]) -> HybridChoice {
-    let mut all_bytes = [None; 5];
-    let mut best: Option<(Scheme, usize)> = None;
-    for (i, s) in ALL_SCHEMES.into_iter().enumerate() {
-        if let Ok(sz) = encoded_size(s, values) {
-            all_bytes[i] = Some(sz);
-            if best.is_none_or(|(_, b)| sz < b) {
-                best = Some((s, sz));
+    let all_bytes = ALL_SCHEMES.map(|s| encoded_size(s, values).ok());
+    // Infallible: BitPacking and VariableByte encode every u32 slice, so
+    // at least one size is known.
+    #[allow(clippy::expect_used)]
+    HybridChoice::from_sizes(all_bytes).expect("at least one total codec must succeed")
+}
+
+impl HybridChoice {
+    /// The choice among already-measured sizes (in [`ALL_SCHEMES`] order,
+    /// `None` for a scheme that cannot encode the stream): the smallest
+    /// wins, and ties go to the earlier scheme. This tie-break is the
+    /// hybrid index's on-disk identity. `None` when no size is known.
+    pub fn from_sizes(all_bytes: [Option<usize>; 5]) -> Option<Self> {
+        let mut best: Option<(Scheme, usize)> = None;
+        for (s, size) in ALL_SCHEMES.into_iter().zip(all_bytes) {
+            if let Some(sz) = size {
+                if best.is_none_or(|(_, b)| sz < b) {
+                    best = Some((s, sz));
+                }
             }
         }
-    }
-    // Infallible: BitPacking and VariableByte encode every u32 slice, so
-    // at least one candidate always lands in `best`.
-    #[allow(clippy::expect_used)]
-    let (scheme, bytes) = best.expect("at least one total codec must succeed");
-    HybridChoice {
-        scheme,
-        bytes,
-        all_bytes,
+        best.map(|(scheme, bytes)| HybridChoice {
+            scheme,
+            bytes,
+            all_bytes,
+        })
     }
 }
 

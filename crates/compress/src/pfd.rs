@@ -17,18 +17,40 @@ pub struct OptPfd;
 
 const EXCEPTION_BYTES: usize = 6; // u16 index + u32 high bits
 
-fn encoded_len(values: &[u32], b: u32) -> usize {
-    let packed = (values.len() * b as usize).div_ceil(8);
-    let exceptions = values.iter().filter(|&&v| bits_for(v) > b).count();
-    packed + exceptions * EXCEPTION_BYTES
+/// The width that minimizes the encoded size, and that size.
+///
+/// One pass buckets the values by bit width (33 buckets, widths 0–32);
+/// the exceptions at width `b` are then the values in buckets above `b`,
+/// so every candidate width costs O(1) instead of a rescan. Ties go to
+/// the narrower width.
+fn best_width(values: &[u32]) -> (u32, usize) {
+    let mut hist = [0usize; 33];
+    for &v in values {
+        hist[bits_for(v) as usize] += 1;
+    }
+    let max_width = hist.iter().rposition(|&n| n > 0).unwrap_or(0) as u32;
+    let mut exceptions = values.len();
+    let mut best = (0, usize::MAX);
+    for b in 0..=max_width {
+        // Values of exactly `b` bits stop being exceptions at width `b`.
+        exceptions -= hist[b as usize];
+        let len = (values.len() * b as usize).div_ceil(8) + exceptions * EXCEPTION_BYTES;
+        if len < best.1 {
+            best = (b, len);
+        }
+    }
+    best
 }
 
-/// Chooses the bit width minimizing the encoded size.
-fn best_width(values: &[u32]) -> u32 {
-    let max_width = values.iter().copied().map(bits_for).max().unwrap_or(0);
-    (0..=max_width)
-        .min_by_key(|&b| (encoded_len(values, b), b))
-        .unwrap_or(0)
+/// The packed area ends at the exception offset, which the block
+/// descriptor stores in 16 bits.
+fn check_packed_len(values: &[u32], b: u32) -> Result<(), Error> {
+    if (values.len() * b as usize).div_ceil(8) > u16::MAX as usize {
+        return Err(Error::Corrupt {
+            reason: "OptPFD packed area exceeds offset field",
+        });
+    }
+    Ok(())
 }
 
 impl Codec for OptPfd {
@@ -39,7 +61,8 @@ impl Codec for OptPfd {
     fn encode(&self, values: &[u32], out: &mut Vec<u8>) -> Result<BlockInfo, Error> {
         let count = check_len(values)?;
         let base = out.len();
-        let b = best_width(values);
+        let (b, _) = best_width(values);
+        check_packed_len(values, b)?;
         let mask = if b == 32 { u32::MAX } else { (1u32 << b) - 1 };
         let mut w = BitWriter::new(out);
         let mut exceptions: Vec<(u16, u32)> = Vec::new();
@@ -50,12 +73,7 @@ impl Codec for OptPfd {
             }
         }
         w.finish();
-        let exception_offset = out.len() - base;
-        if exception_offset > u16::MAX as usize {
-            return Err(Error::Corrupt {
-                reason: "OptPFD packed area exceeds offset field",
-            });
-        }
+        let exception_offset = (out.len() - base) as u16;
         for (idx, high) in exceptions {
             out.extend_from_slice(&idx.to_le_bytes());
             out.extend_from_slice(&high.to_le_bytes());
@@ -63,8 +81,15 @@ impl Codec for OptPfd {
         Ok(BlockInfo {
             count,
             bit_width: b as u8,
-            exception_offset: exception_offset as u16,
+            exception_offset,
         })
+    }
+
+    fn encoded_len(&self, values: &[u32]) -> Result<usize, Error> {
+        check_len(values)?;
+        let (b, len) = best_width(values);
+        check_packed_len(values, b)?;
+        Ok(len)
     }
 
     fn decode(&self, data: &[u8], info: &BlockInfo, out: &mut Vec<u32>) -> Result<(), Error> {
@@ -147,6 +172,46 @@ mod tests {
         OptPfd.decode(&buf, &info, &mut out).unwrap();
         assert_eq!(out, values);
         (info, buf)
+    }
+
+    /// The width choice before the histogram: rescan every candidate
+    /// width, keep the smallest size, narrower on ties.
+    fn rescan_width(values: &[u32]) -> (u32, usize) {
+        let size = |b: u32| {
+            let exceptions = values.iter().filter(|&&v| bits_for(v) > b).count();
+            (values.len() * b as usize).div_ceil(8) + exceptions * EXCEPTION_BYTES
+        };
+        let max_width = values.iter().copied().map(bits_for).max().unwrap_or(0);
+        (0..=max_width)
+            .map(|b| (b, size(b)))
+            .min_by_key(|&(b, len)| (len, b))
+            .unwrap()
+    }
+
+    #[test]
+    fn histogram_width_matches_rescan() {
+        let mut state = 0x9e37_79b9_u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 32) as u32
+        };
+        for len in [0usize, 1, 2, 7, 64, 128, 1000] {
+            for spread in 0..=32u32 {
+                let values: Vec<u32> = (0..len)
+                    .map(|_| {
+                        let v = next();
+                        // Mostly narrow values with a tail of wide outliers.
+                        let w = if next() % 8 == 0 { spread } else { spread / 3 };
+                        v.checked_shr(32 - w).unwrap_or(0)
+                    })
+                    .collect();
+                assert_eq!(
+                    best_width(&values),
+                    rescan_width(&values),
+                    "len {len} spread {spread}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -60,6 +60,41 @@ fn decode_packed(sel: usize, word: u64, out: &mut Vec<u32>) {
     }
 }
 
+/// The greedy selector shared by [`Codec::encode`] and
+/// [`Codec::encoded_len`]: a zero-run selector when at least 120 zeros
+/// lead `rest`, else the densest packed layout whose width fits the
+/// values its word would take. Returns the selector and how many values
+/// its word takes.
+fn select(rest: &[u32]) -> Result<(usize, usize), Error> {
+    let zeros = rest.iter().take(240).take_while(|&&v| v == 0).count();
+    if zeros == 240 {
+        return Ok((0, 240));
+    }
+    if zeros >= 120 {
+        return Ok((1, 120));
+    }
+    // A packed layout fits when the values its word would take are no
+    // wider than its fields. Down the table the word takes fewer values
+    // in wider fields, so the layouts that fit form a suffix of it: walk
+    // up from the sparsest, widening one running OR of the prefix, and
+    // keep the last layout that fits.
+    let mut chosen = None;
+    let (mut prefix_or, mut seen) = (0u32, 0usize);
+    for (i, &(n, bits)) in PACKED.iter().enumerate().rev() {
+        let take = rest.len().min(n as usize);
+        prefix_or = rest[seen..take].iter().fold(prefix_or, |acc, &v| acc | v);
+        seen = take;
+        if u64::from(prefix_or) >> bits != 0 {
+            break;
+        }
+        chosen = Some((i + 2, take));
+    }
+    chosen.ok_or(Error::ValueTooLarge {
+        value: rest.first().copied().unwrap_or(0),
+        max: u32::MAX,
+    })
+}
+
 /// The S8b codec.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Simple8b;
@@ -73,27 +108,10 @@ impl Codec for Simple8b {
         let count = check_len(values)?;
         let mut rest = values;
         while !rest.is_empty() {
-            let zeros = rest.iter().take_while(|&&v| v == 0).count();
-            let (selector, take, packed) = if zeros >= 240 {
-                (0u64, 240usize, None)
-            } else if zeros >= 120 {
-                (1u64, 120usize, None)
-            } else {
-                let mut choice = None;
-                for (i, &(n, bits)) in PACKED.iter().enumerate() {
-                    let prefix = &rest[..rest.len().min(n as usize)];
-                    if prefix.iter().all(|&v| u64::from(v) < (1u64 << bits)) {
-                        choice = Some((i as u64 + 2, prefix.len(), Some((n, bits))));
-                        break;
-                    }
-                }
-                choice.ok_or(Error::ValueTooLarge {
-                    value: rest[0],
-                    max: u32::MAX,
-                })?
-            };
-            let mut word: u64 = selector << 60;
-            if let Some((n, bits)) = packed {
+            let (sel, take) = select(rest)?;
+            let mut word: u64 = (sel as u64) << 60;
+            if sel >= 2 {
+                let (n, bits) = PACKED[sel - 2];
                 let mut shift = 0u32;
                 for slot in 0..n as usize {
                     let v = rest.get(slot).copied().unwrap_or(0);
@@ -102,13 +120,24 @@ impl Codec for Simple8b {
                 }
             }
             out.extend_from_slice(&word.to_le_bytes());
-            rest = &rest[take.min(rest.len())..];
+            rest = &rest[take..];
         }
         Ok(BlockInfo {
             count,
             bit_width: 0,
             exception_offset: 0,
         })
+    }
+
+    fn encoded_len(&self, values: &[u32]) -> Result<usize, Error> {
+        check_len(values)?;
+        let (mut rest, mut words) = (values, 0usize);
+        while !rest.is_empty() {
+            let (_, take) = select(rest)?;
+            words += 1;
+            rest = &rest[take..];
+        }
+        Ok(words * 8)
     }
 
     fn decode(&self, data: &[u8], info: &BlockInfo, out: &mut Vec<u32>) -> Result<(), Error> {

@@ -2,6 +2,7 @@
 //! value (the classic Cutting–Pedersen encoding the paper's Figure 8
 //! programs into the BOSS decompression module).
 
+use crate::bitio::bits_for;
 use crate::{check_count, check_len, BlockInfo, Codec, Error, Scheme};
 
 /// The VB codec.
@@ -32,6 +33,15 @@ impl Codec for VariableByte {
             bit_width: 0,
             exception_offset: 0,
         })
+    }
+
+    fn encoded_len(&self, values: &[u32]) -> Result<usize, Error> {
+        check_len(values)?;
+        // One byte per started 7-bit group; zero still takes one byte.
+        Ok(values
+            .iter()
+            .map(|&v| (bits_for(v).max(1) as usize).div_ceil(7))
+            .sum())
     }
 
     fn decode(&self, data: &[u8], info: &BlockInfo, out: &mut Vec<u32>) -> Result<(), Error> {

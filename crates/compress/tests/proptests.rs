@@ -1,7 +1,9 @@
 //! Property-based tests: every codec must roundtrip every representable
 //! stream, and hybrid selection must never lose to a single scheme.
 
-use boss_compress::{best_scheme, codec_for, encoded_size, Error, Scheme, ALL_SCHEMES};
+use boss_compress::{
+    best_scheme, codec_for, encoded_size, Error, Scheme, ALL_SCHEMES, MAX_BLOCK_VALUES,
+};
 use proptest::prelude::*;
 
 fn roundtrip_ok(scheme: Scheme, values: &[u32]) {
@@ -96,6 +98,47 @@ proptest! {
             let info = boss_compress::BlockInfo { count, bit_width, exception_offset };
             // Must return Ok or Err, never panic or loop forever.
             let _ = codec_for(s).decode(&data, &info, &mut Vec::new());
+        }
+    }
+}
+
+/// Every codec the crate ships, the paper's five plus Group-Varint.
+const ALL_SIX: [Scheme; 6] = [
+    Scheme::Bp,
+    Scheme::Vb,
+    Scheme::OptPfd,
+    Scheme::S16,
+    Scheme::S8b,
+    Scheme::GroupVarint,
+];
+
+/// A block whose values are at most `w` bits wide for a drawn `w` in
+/// 0–32, each value's own width drawn below that, at lengths from empty
+/// to one past the block limit. Widths above 28 exercise S16's rejection.
+fn sized_block() -> impl Strategy<Value = Vec<u32>> {
+    let len = prop_oneof![
+        3 => 0usize..300,
+        1 => 0usize..MAX_BLOCK_VALUES + 2,
+        1 => (MAX_BLOCK_VALUES - 1)..MAX_BLOCK_VALUES + 2,
+    ];
+    (0u32..=32, len).prop_flat_map(|(max_width, len)| {
+        prop::collection::vec(
+            (any::<u32>(), 0u32..=max_width).prop_map(|(v, w)| v.checked_shr(32 - w).unwrap_or(0)),
+            len,
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    #[test]
+    fn encoded_len_is_the_encoded_size(values in sized_block()) {
+        for s in ALL_SIX {
+            let codec = codec_for(s);
+            let mut buf = Vec::new();
+            let encoded = codec.encode(&values, &mut buf).map(|_| buf.len());
+            prop_assert_eq!(codec.encoded_len(&values), encoded, "scheme {}", s);
         }
     }
 }

@@ -96,6 +96,8 @@ impl<'a> BossDevice<'a> {
         expr: &QueryExpr,
         k: usize,
     ) -> Result<QueryOutcome, Error> {
+        // Structure and nesting depth first, before `terms()` recurses.
+        expr.validate(usize::MAX)?;
         let terms = expr.terms();
         if terms.len() <= self.config.max_terms {
             return self.search_expr(expr, k);

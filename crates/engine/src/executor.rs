@@ -95,8 +95,9 @@ impl BatchExecutor {
     }
 
     /// Executes `queries` on forks of `engine` and replays the simulated
-    /// lane schedule. Outcomes are returned in submission order; merged
-    /// stats are summed in submission order.
+    /// lane schedule: [`BatchExecutor::execute`] then
+    /// [`BatchExecutor::schedule`]. Outcomes are returned in submission
+    /// order; merged stats are summed in submission order.
     ///
     /// `engine` itself is only used for forking and the scheduling hooks
     /// — its accumulators are left untouched, so a caller that wants
@@ -112,18 +113,27 @@ impl BatchExecutor {
         queries: &[QueryExpr],
         k: usize,
     ) -> Result<EngineBatch, Error> {
-        let n = queries.len();
-        if n == 0 {
-            return Ok(EngineBatch {
-                outcomes: Vec::new(),
-                makespan_cycles: 0,
-                mem: MemStats::new(),
-                eval: EvalCounts::default(),
-            });
-        }
+        let outcomes = self.execute(engine, queries, k)?;
+        Ok(self.schedule(engine, queries, outcomes))
+    }
 
-        // Execute every query on a forked engine. Per-query execution is
-        // pure, so sharding cannot change any outcome.
+    /// Executes every query on forks of `engine`, sharded across this
+    /// executor's OS threads, and returns the outcomes in submission
+    /// order. Per-query execution is pure, so the outcomes do not depend
+    /// on the thread count — nor on the engine's lane count, which only
+    /// [`BatchExecutor::schedule`] reads.
+    ///
+    /// # Errors
+    ///
+    /// The first (in submission order) query that fails, with no partial
+    /// results.
+    pub fn execute<E: SearchEngine + Send>(
+        &self,
+        engine: &E,
+        queries: &[QueryExpr],
+        k: usize,
+    ) -> Result<Vec<QueryOutcome>, Error> {
+        let n = queries.len();
         let workers = self.threads.min(n);
         let mut results: Vec<Option<Result<QueryOutcome, Error>>> = (0..n).map(|_| None).collect();
         if workers <= 1 {
@@ -153,12 +163,37 @@ impl BatchExecutor {
                 }
             });
         }
+        // Surface the first failure in submission order.
+        results
+            .into_iter()
+            .map(|r| r.expect("every query executed"))
+            .collect()
+    }
 
-        // Surface the first failure in submission order, like the
-        // per-engine drivers did.
-        let mut outcomes = Vec::with_capacity(n);
-        for r in results {
-            outcomes.push(r.expect("every query executed")?);
+    /// Replays the simulated lane schedule of already-executed `outcomes`
+    /// (one per query, in submission order, as [`BatchExecutor::execute`]
+    /// returns them) on `engine`'s lanes, merges their stats in
+    /// submission order, and floors the makespan at the bandwidth
+    /// roofline. Pure: it executes nothing, so one execution can be
+    /// scheduled for many lane counts of the same engine configuration.
+    ///
+    /// # Panics
+    ///
+    /// If `outcomes` and `queries` differ in length.
+    pub fn schedule<E: SearchEngine>(
+        &self,
+        engine: &E,
+        queries: &[QueryExpr],
+        outcomes: Vec<QueryOutcome>,
+    ) -> EngineBatch {
+        assert_eq!(outcomes.len(), queries.len(), "one outcome per query");
+        if outcomes.is_empty() {
+            return EngineBatch {
+                outcomes,
+                makespan_cycles: 0,
+                mem: MemStats::new(),
+                eval: EvalCounts::default(),
+            };
         }
 
         // Merge stats in submission order (the merges are commutative
@@ -174,7 +209,7 @@ impl BatchExecutor {
         // Replay the simulated schedule serially: greedy earliest-free
         // lane(s) per query in policy order, using the per-query cycle
         // counts. Never observes OS-thread interleaving.
-        let mut order: Vec<usize> = (0..n).collect();
+        let mut order: Vec<usize> = (0..queries.len()).collect();
         if self.policy == SchedPolicy::Sjf {
             order.sort_by_key(|&i| engine.work_estimate(&queries[i]));
         }
@@ -197,12 +232,12 @@ impl BatchExecutor {
         }
         let core_limited = busy.into_iter().max().unwrap_or(0);
         let makespan_cycles = core_limited.max(engine.bandwidth_limit_cycles(&mem));
-        Ok(EngineBatch {
+        EngineBatch {
             outcomes,
             makespan_cycles,
             mem,
             eval,
-        })
+        }
     }
 }
 

@@ -364,9 +364,9 @@ fn measure_level<E: SearchEngine + Send>(
     k: usize,
     threads: usize,
 ) -> Result<Vec<LevelService>, Error> {
-    let batch = BatchExecutor::with_threads(threads).run(engine, queries, k)?;
-    Ok(batch
-        .outcomes
+    // Only the outcomes matter here: the open-loop replay schedules them.
+    let outcomes = BatchExecutor::with_threads(threads).execute(engine, queries, k)?;
+    Ok(outcomes
         .iter()
         .map(|o| LevelService {
             cycles: o.cycles.max(1),

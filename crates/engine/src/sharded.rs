@@ -406,6 +406,9 @@ impl<E: SearchEngine> SearchEngine for Sharded<'_, E> {
                 })
             }
             ShardTiming::ScatterGather => {
+                // Structure and nesting depth first, as planning checks
+                // them, before `terms()` recurses over the query.
+                expr.validate(usize::MAX)?;
                 // Error parity with single-device planning: a term no
                 // shard knows is globally unknown.
                 for t in expr.terms() {

@@ -1,10 +1,15 @@
 //! The executor's hard guarantee, checked end to end: batch results are
 //! bit-identical at every thread count, for every engine and every BOSS
-//! early-termination mode.
+//! early-termination mode. Per-query outcomes are also independent of
+//! the lane count, which is what lets one execution be scheduled for a
+//! whole core sweep.
 
 use boss_core::{BossConfig, EtMode};
-use boss_engine::{BatchExecutor, Boss, EngineBatch, Iiu, Lucene, SearchEngine};
+use boss_engine::{
+    BatchExecutor, Boss, EngineBatch, Iiu, Lucene, SearchEngine, ShardTiming, Sharded,
+};
 use boss_iiu::IiuConfig;
+use boss_index::shard::ShardedIndex;
 use boss_index::{InvertedIndex, QueryExpr};
 use boss_luceneish::LuceneConfig;
 use boss_workload::corpus::{CorpusSpec, Scale};
@@ -98,6 +103,67 @@ fn sjf_schedule_is_also_thread_invariant() {
             &exec(threads),
             &serial,
             &format!("SJF at {threads} threads"),
+        );
+    }
+}
+
+/// Lane counts of the figures' core sweep.
+const LANES: [u32; 4] = [1, 2, 4, 8];
+
+/// Executes `queries` on `make(l)` for every lane count `l` and checks
+/// that the outcomes never change, and that scheduling the first lane
+/// count's outcomes on each engine reproduces that engine's own `run`.
+fn check_lane_invariance<E: SearchEngine + Send>(
+    make: impl Fn(u32) -> E,
+    queries: &[QueryExpr],
+    k: usize,
+) {
+    let exec = BatchExecutor::with_threads(2);
+    let first = exec.execute(&make(LANES[0]), queries, k).expect("runs");
+    for lanes in LANES {
+        let engine = make(lanes);
+        let ctx = format!("{} at {lanes} lanes", engine.label());
+        assert_eq!(engine.lanes(), lanes as usize, "{ctx}");
+        let outcomes = exec.execute(&engine, queries, k).expect("runs");
+        assert_eq!(outcomes, first, "{ctx}: outcomes");
+        for policy in [
+            boss_engine::SchedPolicy::Fifo,
+            boss_engine::SchedPolicy::Sjf,
+        ] {
+            let exec = exec.clone().with_policy(policy);
+            let scheduled = exec.schedule(&engine, queries, first.clone());
+            let run = exec.run(&engine, queries, k).expect("runs");
+            assert_batches_identical(&scheduled, &run, &format!("{ctx} {policy:?}"));
+        }
+    }
+}
+
+#[test]
+fn outcomes_do_not_depend_on_the_lane_count() {
+    let index = corpus();
+    let queries = suite(&index);
+    let k = 50;
+    check_lane_invariance(
+        |l| Boss::new(&index, BossConfig::with_cores(l).with_k(k)),
+        &queries,
+        k,
+    );
+    check_lane_invariance(|l| Iiu::new(&index, IiuConfig::with_cores(l)), &queries, k);
+    check_lane_invariance(
+        |l| Lucene::new(&index, LuceneConfig::with_threads(l)),
+        &queries,
+        k,
+    );
+    let split = ShardedIndex::split(&index, 3).expect("splits");
+    for timing in [ShardTiming::Logical, ShardTiming::ScatterGather] {
+        check_lane_invariance(
+            |l| {
+                let boss = |ix| Boss::new(ix, BossConfig::with_cores(l).with_k(k));
+                let leaves = split.shards().iter().map(|s| vec![boss(s)]).collect();
+                Sharded::new(boss(&index), &split, leaves, timing)
+            },
+            &queries,
+            k,
         );
     }
 }

@@ -2,14 +2,15 @@
 
 use crate::index::{InvertedIndex, TermInfo};
 use crate::{Bm25, Bm25Params, EncodedList, Error, PostingList};
-use boss_compress::{Scheme, ALL_SCHEMES};
+use boss_compress::{HybridChoice, Scheme};
 use std::collections::BTreeMap;
 
 /// How the builder picks a compression scheme per posting list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchemeChoice {
-    /// Encode every list with every scheme and keep the smallest — the
-    /// "hybrid" approach BOSS uses for its index (Section IV-A).
+    /// Size every list under every scheme and encode it with the
+    /// smallest — the "hybrid" approach BOSS uses for its index
+    /// (Section IV-A).
     #[default]
     Hybrid,
     /// Use one fixed scheme for all lists.
@@ -82,10 +83,11 @@ pub(crate) fn scoring_from_lens(params: Bm25Params, doc_lens: &[u32]) -> (Bm25, 
 }
 
 /// Encodes one posting list under the builder's scheme policy. The
-/// hybrid tie-break (first scheme in [`ALL_SCHEMES`] order wins ties,
-/// strictly smaller replaces) is the index's on-disk identity, so every
-/// construction path — in-memory build and segment merge — must go
-/// through this one function.
+/// hybrid tie-break ([`HybridChoice::from_sizes`]: first scheme in
+/// [`boss_compress::ALL_SCHEMES`] order wins ties, strictly smaller
+/// replaces) is the index's on-disk identity, so every construction path
+/// — in-memory build, segment merge and shard split — must go through
+/// this one function.
 pub(crate) fn encode_term_list(
     plist: &PostingList,
     choice: SchemeChoice,
@@ -96,20 +98,12 @@ pub(crate) fn encode_term_list(
     match choice {
         SchemeChoice::Fixed(s) => EncodedList::encode(plist, s, bm25, idf, norms),
         SchemeChoice::Hybrid => {
-            let mut best: Option<EncodedList> = None;
-            for s in ALL_SCHEMES {
-                if let Ok(enc) = EncodedList::encode(plist, s, bm25, idf, norms) {
-                    if best
-                        .as_ref()
-                        .is_none_or(|b| enc.data_bytes() < b.data_bytes())
-                    {
-                        best = Some(enc);
-                    }
-                }
-            }
-            // Infallible: BitPacking encodes every u32 slice.
-            #[allow(clippy::expect_used)]
-            Ok(best.expect("BP is total, so hybrid always has a candidate"))
+            // Size every scheme, then encode only the winner.
+            let sizes = EncodedList::data_bytes_per_scheme(plist);
+            let choice = HybridChoice::from_sizes(sizes).ok_or(Error::CorruptMetadata {
+                reason: "no compression scheme could encode a posting list",
+            })?;
+            EncodedList::encode(plist, choice.scheme, bm25, idf, norms)
         }
     }
 }
@@ -308,6 +302,74 @@ impl IndexBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use boss_compress::ALL_SCHEMES;
+    use proptest::prelude::*;
+
+    /// The hybrid selection as it was before size-only sizing: encode the
+    /// list completely under every scheme and keep the first smallest.
+    fn five_full_encodes(plist: &PostingList, bm25: &Bm25, idf: f32, norms: &[f32]) -> EncodedList {
+        let mut best: Option<EncodedList> = None;
+        for s in ALL_SCHEMES {
+            if let Ok(enc) = EncodedList::encode(plist, s, bm25, idf, norms) {
+                if best
+                    .as_ref()
+                    .is_none_or(|b| enc.data_bytes() < b.data_bytes())
+                {
+                    best = Some(enc);
+                }
+            }
+        }
+        best.unwrap()
+    }
+
+    /// Posting columns `(docs, tfs)`. Half the cases have one gap and one
+    /// tf throughout, which forces ties (BP and OptPFD always encode such
+    /// a list to the same size); the rest mix gap widths and include tfs
+    /// wider than S16's 28 bits, which drop S16 from the choice.
+    fn posting_columns() -> impl Strategy<Value = (Vec<u32>, Vec<u32>)> {
+        let uniform = (1usize..400, 1u32..64, 1u32..9)
+            .prop_map(|(n, gap, tf)| ((1..=n as u32).map(|i| i * gap).collect(), vec![tf; n]));
+        let gap = prop_oneof![4 => 1u32..4, 2 => 1u32..300, 1 => 1u32..3000];
+        let tf = prop_oneof![8 => 1u32..6, 2 => 1u32..5000, 1 => (1u32 << 28)..u32::MAX];
+        let mixed = prop::collection::vec((gap, tf), 1..400).prop_map(|pairs| {
+            let mut doc = 0u32;
+            pairs
+                .into_iter()
+                .map(|(gap, tf)| {
+                    doc += gap;
+                    (doc, tf)
+                })
+                .unzip()
+        });
+        prop_oneof![uniform, mixed]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn hybrid_matches_five_full_encodes((docs, tfs) in posting_columns()) {
+            let uniform = docs.windows(2).all(|w| w[1] - w[0] == docs[0])
+                && tfs.iter().all(|&tf| tf == tfs[0]);
+            let n_docs = docs.last().unwrap() + 1;
+            let plist = PostingList::from_columns(docs, tfs).unwrap();
+            let bm25 = Bm25::new(Bm25Params::default(), n_docs, 9.0);
+            let norms: Vec<f32> = (0..n_docs).map(|d| bm25.doc_norm(1 + d % 17)).collect();
+            let idf = bm25.idf(plist.len() as u32);
+            let sizes = EncodedList::data_bytes_per_scheme(&plist);
+            for (s, size) in ALL_SCHEMES.into_iter().zip(sizes) {
+                let encoded = EncodedList::encode(&plist, s, &bm25, idf, &norms).ok();
+                prop_assert_eq!(size, encoded.map(|e| e.data_bytes()), "scheme {}", s);
+            }
+            if uniform {
+                prop_assert_eq!(sizes[0], sizes[2], "BP and OptPFD tie on a uniform list");
+            }
+            let got = encode_term_list(&plist, SchemeChoice::Hybrid, &bm25, idf, &norms).unwrap();
+            let want = five_full_encodes(&plist, &bm25, idf, &norms);
+            prop_assert_eq!(got.scheme(), want.scheme());
+            prop_assert_eq!(got, want);
+        }
+    }
 
     #[test]
     fn build_from_text() {

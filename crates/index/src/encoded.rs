@@ -2,7 +2,7 @@
 //! metadata (Section IV-A "Index Structure and Per-block Metadata").
 
 use crate::{Bm25, DocId, Error, PostingList};
-use boss_compress::{codec_for, BlockInfo, Scheme};
+use boss_compress::{codec_for, BlockInfo, Scheme, ALL_SCHEMES};
 
 /// Number of postings per block. The paper uses 128-value blocks (with
 /// Simple16 nominally variable-size; we keep logical 128-value blocks for
@@ -67,6 +67,29 @@ pub struct EncodedList {
     max_score: f32,
 }
 
+/// Fills `gaps` and `tfs_m1` with one block's codec inputs: the docID
+/// d-gaps (the first against `prev_last`, the previous block's last
+/// docID) and the `tf - 1` values.
+fn block_streams(
+    bdocs: &[DocId],
+    btfs: &[u32],
+    prev_last: Option<DocId>,
+    gaps: &mut Vec<u32>,
+    tfs_m1: &mut Vec<u32>,
+) {
+    gaps.clear();
+    tfs_m1.clear();
+    let mut prev = prev_last;
+    for &d in bdocs {
+        gaps.push(match prev {
+            Some(p) => d - p,
+            None => d,
+        });
+        prev = Some(d);
+    }
+    tfs_m1.extend(btfs.iter().map(|&tf| tf - 1));
+}
+
 impl EncodedList {
     /// Encodes `list` under `scheme`, computing block-max scores with
     /// `bm25`, the term's `idf`, and the per-document norms.
@@ -123,18 +146,7 @@ impl EncodedList {
             let bdocs = &docs[start..end];
             let btfs = &tfs[start..end];
 
-            gaps.clear();
-            tfs_m1.clear();
-            let mut prev = prev_last;
-            for &d in bdocs {
-                let gap = match prev {
-                    Some(p) => d - p,
-                    None => d,
-                };
-                gaps.push(gap);
-                prev = Some(d);
-            }
-            tfs_m1.extend(btfs.iter().map(|&tf| tf - 1));
+            block_streams(bdocs, btfs, prev_last, &mut gaps, &mut tfs_m1);
 
             let offset = data.len() as u32;
             let delta_info = codec.encode(&gaps, &mut data)?;
@@ -177,6 +189,34 @@ impl EncodedList {
             idf,
             max_score: list_max,
         })
+    }
+
+    /// The [`EncodedList::data_bytes`] that [`EncodedList::encode`] would
+    /// produce under each scheme of [`ALL_SCHEMES`] (`None` where the
+    /// scheme cannot encode the list), from one pass over the blocks that
+    /// sizes every scheme with [`boss_compress::Codec::encoded_len`] and
+    /// encodes nothing.
+    pub(crate) fn data_bytes_per_scheme(list: &PostingList) -> [Option<usize>; 5] {
+        let codecs = ALL_SCHEMES.map(codec_for);
+        let mut sizes = [Some(0usize); 5];
+        let mut gaps = Vec::with_capacity(BLOCK_SIZE);
+        let mut tfs_m1 = Vec::with_capacity(BLOCK_SIZE);
+        let mut prev_last = None;
+        for (bdocs, btfs) in list
+            .docs()
+            .chunks(BLOCK_SIZE)
+            .zip(list.tfs().chunks(BLOCK_SIZE))
+        {
+            block_streams(bdocs, btfs, prev_last, &mut gaps, &mut tfs_m1);
+            prev_last = bdocs.last().copied();
+            for (size, codec) in sizes.iter_mut().zip(codecs) {
+                *size = size.and_then(|total| {
+                    let block = codec.encoded_len(&gaps).ok()? + codec.encoded_len(&tfs_m1).ok()?;
+                    Some(total + block)
+                });
+            }
+        }
+        sizes
     }
 
     /// Reassembles a list from its serialized parts — the segment-file

@@ -77,7 +77,7 @@ pub use encoded::{BlockMeta, DecodeScratch, EncodedList, BLOCK_META_BYTES, BLOCK
 pub use error::Error;
 pub use index::{InvertedIndex, TermId, TermInfo};
 pub use posting::{Posting, PostingList};
-pub use query::{QueryExpr, SearchHit};
+pub use query::{QueryExpr, SearchHit, MAX_NESTING_DEPTH};
 pub use score::ScoreScratch;
 pub use segment::{SegmentHeader, SegmentReader, SegmentRegions};
 pub use spimi::{

@@ -29,9 +29,9 @@
 //! parameters (`--shards N` from a CLI); every failure must surface as a
 //! typed [`Error`], never a panic.
 
+use crate::builder::encode_term_list;
 use crate::index::TermInfo;
-use crate::{Bm25, DocId, EncodedList, Error, InvertedIndex, PostingList, SearchHit};
-use boss_compress::ALL_SCHEMES;
+use crate::{DocId, Error, InvertedIndex, PostingList, SchemeChoice, SearchHit};
 use std::collections::HashMap;
 
 /// A corpus split into docID-interval shards.
@@ -106,7 +106,15 @@ impl ShardedIndex {
                     let local: Vec<DocId> = docs[lo..hi].iter().map(|&d| d - bases[s]).collect();
                     let plist = PostingList::from_columns(local, tfs[lo..hi].to_vec())?;
                     let df = plist.len() as u32;
-                    let encoded = encode_hybrid(&plist, &bm25, info.idf, &shard.doc_norms)?;
+                    // The builder's default hybrid policy, with the
+                    // *global* statistics.
+                    let encoded = encode_term_list(
+                        &plist,
+                        SchemeChoice::Hybrid,
+                        &bm25,
+                        info.idf,
+                        &shard.doc_norms,
+                    )?;
                     let tid = shard.terms.len() as u32;
                     shard.vocab.insert(info.text.clone(), tid);
                     shard.terms.push(TermInfo {
@@ -248,31 +256,6 @@ impl ShardedIndex {
         }
         out
     }
-}
-
-/// Encodes a shard's posting list the way [`crate::IndexBuilder`] does
-/// under its default hybrid policy: every stock scheme, keep the first
-/// smallest. `bm25`, `idf`, and `norms` carry the *global* statistics.
-fn encode_hybrid(
-    plist: &PostingList,
-    bm25: &Bm25,
-    idf: f32,
-    norms: &[f32],
-) -> Result<EncodedList, Error> {
-    let mut best: Option<EncodedList> = None;
-    for s in ALL_SCHEMES {
-        if let Ok(enc) = EncodedList::encode(plist, s, bm25, idf, norms) {
-            if best
-                .as_ref()
-                .is_none_or(|b| enc.data_bytes() < b.data_bytes())
-            {
-                best = Some(enc);
-            }
-        }
-    }
-    best.ok_or(Error::CorruptMetadata {
-        reason: "no compression scheme could encode a shard posting list",
-    })
 }
 
 #[cfg(test)]
