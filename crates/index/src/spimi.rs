@@ -541,8 +541,12 @@ mod tests {
     use super::*;
     use crate::IndexBuilder;
 
+    /// A fresh directory per call: tests run in parallel and several
+    /// build the same configuration.
     fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("boss-spimi-{tag}-{}", std::process::id()));
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let d = std::env::temp_dir().join(format!("boss-spimi-{tag}-{}-{n}", std::process::id()));
         std::fs::remove_dir_all(&d).ok();
         d
     }
